@@ -48,7 +48,9 @@ Both paths solve the *identical* constraint system; optima agree to
 solver tolerance (the differential suite ``tests/core/test_lp_modes.py``
 enforces 1e-6 on ``log2_bound`` across the E-family), but last-bit
 values and degenerate dual witnesses may differ — anything that needs
-bit-identical numbers pins ``oneshot``.
+bit-identical numbers pins ``oneshot``.  Under ``oneshot`` the step
+cones skip HiGHS presolve (:data:`_HIGHS_OPTIONS`); while ``persistent``
+is active, every solve keeps HiGHS's defaults (:func:`_oneshot_options`).
 """
 
 from __future__ import annotations
@@ -295,13 +297,54 @@ def _stat_structure(
     return tuple(struct), b
 
 
+#: HiGHS options per cone for the one-shot path, as scipy's
+#: ``linprog(method="highs")`` spells them.  The step-cone matrix is
+#: dense (JOB Q33: 558 × 2879, 72 % nonzero) and presolve costs more than
+#: it saves there: the 99 JOB LPs take 6.6 s of solve time with presolve
+#: and 1.3 s without.  The sparse polymatroid LP keeps it: 23 JOB
+#: polymatroid LPs (≤ 9 variables) take a median 3.7 s with presolve and
+#: 4.4 s without.  (2-core x86 VM, scipy 1.17.1.)
+_HIGHS_OPTIONS: dict[str, dict[str, object]] = {
+    "polymatroid": {},
+    "normal": {"presolve": False},
+    "modular": {"presolve": False},
+}
+
+
+def _oneshot_options(cone: str) -> dict[str, object]:
+    """:data:`_HIGHS_OPTIONS` for ``cone`` — or HiGHS's defaults while
+    the persistent path is the active LP mode.
+
+    The persistent model keeps HiGHS's defaults: with presolve off, a
+    warm re-solve there can keep a structure-mate's optimal basis, a
+    different degenerate dual than a cold solve finds.  While it is
+    active, one-shot solves use the same defaults, so the two paths
+    keep returning bit-identical results for the same LP.
+    """
+    if _HAVE_HIGHSPY:
+        try:
+            if active_lp_mode() == "persistent":
+                return {}
+        except ValueError:  # a bad REPRO_LP surfaces on governed solves
+            pass
+    return _HIGHS_OPTIONS[cone]
+
+
 def _solve(
+    cone: str,
     c: np.ndarray,
     a_ub,
     b_ub: np.ndarray,
     bounds,
 ) -> "linprog.OptimizeResult":
-    return linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    return linprog(
+        c,
+        A_ub=a_ub,
+        b_ub=b_ub,
+        bounds=bounds,
+        method="highs",
+        options=_oneshot_options(cone),
+    )
 
 
 @lru_cache(maxsize=None)
@@ -361,9 +404,18 @@ def _assemble_polymatroid(
     n: int, struct: Sequence[tuple[int, int, float]]
 ) -> _Assembly:
     if n > _POLYMATROID_MAX_VARS:
+        simple = all(mask_u & (mask_u - 1) == 0 for mask_u, _, _ in struct)
+        if simple and n <= _NORMAL_MAX_VARS:
+            hint = "use cone='normal', which is exact for simple statistics"
+        else:
+            hint = (
+                "cone='normal' is exact only for simple statistics "
+                f"(|U| ≤ 1) and limited to {_NORMAL_MAX_VARS} variables, "
+                "so no cone can bound this query"
+            )
         raise ValueError(
             f"polymatroid cone limited to {_POLYMATROID_MAX_VARS} variables "
-            f"(got {n}); use cone='normal' for simple statistics"
+            f"(got {n}); {hint}"
         )
     size = 1 << n
     neg_shannon, _ = _neg_shannon_block(n)  # −A from A·h ≥ 0
@@ -393,9 +445,27 @@ def _step_candidates(
     relevant = sorted({m for mu, muv, _ in struct for m in (mu, muv) if m})
     if not relevant:
         return all_w[:1]
-    patterns = np.stack([(all_w & g) != 0 for g in relevant], axis=1)
-    _, keep = np.unique(patterns, axis=0, return_index=True)
+    # pattern key of W: bit j set when W hits relevant mask j, packed
+    # into uint64 words; one 1-D unique over the keys (first occurrences)
+    keys = np.zeros((len(all_w), (len(relevant) + 63) // 64), np.uint64)
+    for j, g in enumerate(relevant):
+        hit = ((all_w & g) != 0).astype(np.uint64)
+        keys[:, j >> 6] |= hit << np.uint64(j & 63)
+    if keys.shape[1] > 1:
+        keys = keys.view(np.dtype((np.void, 8 * keys.shape[1])))
+    _, keep = np.unique(keys.ravel(), return_index=True)
     return all_w[np.sort(keep)]
+
+
+def _step_rows(
+    struct: Sequence[tuple[int, int, float]], generators: np.ndarray
+) -> np.ndarray:
+    """The statistic rows (≥ 1 of them) evaluated on step functions:
+    entry (i, W) is 1[W∩U_iV_i≠∅] + (1/p_i − 1)·1[W∩U_i≠∅]."""
+    mask_u, mask_uv, inv_p = map(np.array, zip(*struct))
+    hit_uv = (generators & mask_uv[:, None]) != 0
+    hit_u = (generators & mask_u[:, None]) != 0
+    return hit_uv + (inv_p[:, None] - 1.0) * hit_u
 
 
 def _assemble_step_cone(
@@ -403,14 +473,7 @@ def _assemble_step_cone(
 ) -> _Assembly:
     candidates = _step_candidates(n, cone, struct)
     m = len(candidates)
-    rows = []
-    for mask_u, mask_uv, inv_p in struct:
-        hit_uv = ((candidates & mask_uv) != 0).astype(float)
-        hit_u = (
-            ((candidates & mask_u) != 0).astype(float) if mask_u else 0.0
-        )
-        rows.append(hit_uv + (inv_p - 1.0) * hit_u)
-    a_ub = np.array(rows) if rows else None
+    a_ub = _step_rows(struct, candidates) if struct else None
     # every non-empty W intersects X, so h(X) = Σ_W α_W
     c = -np.ones(m)
     bounds = [(0.0, None)] * m
@@ -490,10 +553,10 @@ def _solve_assembly(
         b_ub = np.concatenate(
             [b_stats, np.zeros(shannon_rows + extra_rows)]
         )
-        res = _solve(assembly.c, a_ub, b_ub, assembly.bounds)
+        res = _solve(cone, assembly.c, a_ub, b_ub, assembly.bounds)
     else:
         b_arr = b_stats if assembly.num_stats else None
-        res = _solve(assembly.c, assembly.a_ub, b_arr, assembly.bounds)
+        res = _solve(cone, assembly.c, assembly.a_ub, b_arr, assembly.bounds)
     if res.status == 3:
         return BoundResult(math.inf, cone, "unbounded", variables, statistics)
     if res.status == 2:

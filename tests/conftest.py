@@ -1,11 +1,16 @@
 """Shared fixtures: small deterministic relations, graphs, and queries."""
 
+import importlib
 import random
 
 import pytest
 
+from repro.core.certificates import verify_certificate
 from repro.query import parse_query
 from repro.relational import Database, Relation
+
+# the module, not the identically-named function repro.core re-exports
+_LP_BOUND = importlib.import_module("repro.core.lp_bound")
 
 
 @pytest.fixture
@@ -56,3 +61,28 @@ def two_table_db():
         name="S",
     )
     return Database({"R": r, "S": s})
+
+
+@pytest.fixture(autouse=True)
+def _step_cone_certificates(monkeypatch):
+    """Postcondition: every optimal step-cone result carries a certificate
+    that passes the full check (dual feasibility and strong duality).
+
+    Wraps the one function both LP paths build optimal results with, so
+    results from ``lp_bound``, ``BoundSolver`` and the persistent model are
+    all covered; failures are collected and reported after the test.
+    """
+    build = _LP_BOUND._optimal_result
+    failures = []
+
+    def checked(assembly, *args, **kwargs):
+        result = build(assembly, *args, **kwargs)
+        if assembly.cone in ("normal", "modular") and not verify_certificate(
+            result
+        ):
+            failures.append(result)
+        return result
+
+    monkeypatch.setattr(_LP_BOUND, "_optimal_result", checked)
+    yield
+    assert not failures, f"step-cone certificate check failed: {failures[0]}"
