@@ -32,8 +32,12 @@ Two solve paths answer every LP, selected by a process-wide *LP mode*
 (``REPRO_LP``, mirroring ``REPRO_KERNELS``):
 
 ``REPRO_LP=oneshot``
-    :func:`scipy.optimize.linprog` (method ``highs``), one cold solve per
-    request.  This is the oracle path — :func:`lp_bound` always uses it.
+    One fresh HiGHS model per solve, on the HiGHS build scipy ships
+    (``scipy.optimize._highspy._core``, scipy ≥ 1.15), loaded straight
+    from numpy arrays and solved cold.  :func:`lp_bound` always uses it.
+    Its results are bit-identical to ``scipy.optimize.linprog(method=
+    "highs")`` with the same options, which the test suite keeps as the
+    oracle (``tests/core/test_oneshot_highs.py``).
 ``REPRO_LP=persistent``
     A long-lived :mod:`highspy` model per (cone, order, structure),
     cached by :class:`BoundSolver` next to its assemblies: re-solves swap
@@ -65,8 +69,8 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
+import scipy
 from scipy import sparse
-from scipy.optimize import linprog
 
 from ..entropy.shannon import elemental_inequalities
 from ..entropy.vectors import EntropyVector
@@ -95,6 +99,39 @@ CONES = ("auto", "polymatroid", "normal", "modular")
 
 _POLYMATROID_MAX_VARS = 14
 _NORMAL_MAX_VARS = 22
+
+
+def _probe_highs(highs_class) -> None:
+    """Load an empty model through the numpy-array ``addRows``/``addCols``
+    overloads the one-shot path calls (a ``TypeError`` when missing)."""
+    probe = highs_class()
+    probe.setOptionValue("output_flag", False)
+    none, empty = np.zeros(0, dtype=np.int32), np.zeros(0)
+    probe.addRows(0, empty, empty, 0, none, none, empty)
+    probe.addCols(0, empty, empty, empty, 0, none, none, empty)
+
+
+# The HiGHS build scipy ships, driven directly.  The module is private, so
+# its shape is checked once here rather than failing on the first solve.
+try:
+    from scipy.optimize._highspy._core import (
+        HighsModelStatus as _ModelStatus,
+        HighsStatus as _HighsStatus,
+        _Highs,
+    )
+
+    _probe_highs(_Highs)
+except (ImportError, AttributeError, TypeError) as exc:
+    raise ImportError(
+        "repro needs scipy>=1.15, whose bundled HiGHS bindings "
+        "(scipy.optimize._highspy._core) take numpy arrays in "
+        f"addRows/addCols; found scipy {scipy.__version__}"
+    ) from exc
+
+_STATUS_NAMES = {
+    _ModelStatus.kInfeasible: "infeasible",
+    _ModelStatus.kUnbounded: "unbounded",
+}
 
 # ----------------------------------------------------------------------
 # LP solve modes (REPRO_LP), mirroring relational.kernels' REPRO_KERNELS
@@ -298,7 +335,8 @@ def _stat_structure(
 
 
 #: HiGHS options per cone for the one-shot path, as scipy's
-#: ``linprog(method="highs")`` spells them.  The step-cone matrix is
+#: ``linprog(method="highs")`` spells them (:func:`_solve` passes
+#: ``presolve: False`` to HiGHS as ``"off"``).  The step-cone matrix is
 #: dense (JOB Q33: 558 × 2879, 72 % nonzero) and presolve costs more than
 #: it saves there: the 99 JOB LPs take 6.6 s of solve time with presolve
 #: and 1.3 s without.  The sparse polymatroid LP keeps it: 23 JOB
@@ -330,20 +368,89 @@ def _oneshot_options(cone: str) -> dict[str, object]:
     return _HIGHS_OPTIONS[cone]
 
 
+def _colwise(a_ub) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Column-wise (start, index, value) arrays of a constraint matrix —
+    the nonzeros in column order, rows ascending within each column, as
+    :func:`scipy.sparse.csc_array` lays them out."""
+    if sparse.issparse(a_ub):
+        csc = a_ub.tocsc()
+        return (
+            csc.indptr.astype(np.int32, copy=False),
+            csc.indices.astype(np.int32, copy=False),
+            csc.data,
+        )
+    num_rows, num_cols = a_ub.shape
+    flat = a_ub.ravel(order="F")  # a view for the column-major step rows
+    nonzero = np.flatnonzero(flat)
+    start = np.searchsorted(nonzero // num_rows, np.arange(num_cols + 1))
+    return (
+        start.astype(np.int32),
+        (nonzero % num_rows).astype(np.int32),
+        flat[nonzero],
+    )
+
+
 def _solve(
     cone: str,
     c: np.ndarray,
     a_ub,
-    b_ub: np.ndarray,
-    bounds,
-) -> "linprog.OptimizeResult":
-    return linprog(
-        c,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        bounds=bounds,
-        method="highs",
-        options=_oneshot_options(cone),
+    b_ub: np.ndarray | None,
+    bounds: Sequence[tuple[float, float | None]],
+) -> tuple[str, float, np.ndarray, np.ndarray]:
+    """Solve min c·x s.t. a_ub·x ≤ b_ub, bounds, on a fresh HiGHS model.
+
+    Returns ``(status, objective, x, row_duals)``; ``status`` is
+    ``"optimal"``, ``"infeasible"``, ``"unbounded"`` or ``"error: …"``
+    (any other HiGHS model status, ``kUnboundedOrInfeasible`` included),
+    and the other three are only meaningful when it is ``"optimal"``.
+    """
+    num_cols = len(c)
+    highs = _Highs()
+    highs.setOptionValue("output_flag", False)
+    for key, value in _oneshot_options(cone).items():
+        if key == "presolve":
+            value = "on" if value else "off"
+        highs.setOptionValue(key, value)
+    lower = np.array([low for low, _ in bounds], dtype=np.float64)
+    upper = np.array(
+        [math.inf if high is None else high for _, high in bounds],
+        dtype=np.float64,
+    )
+    if a_ub is None:
+        start = np.zeros(num_cols + 1, dtype=np.int32)
+        index, value = np.zeros(0, dtype=np.int32), np.zeros(0)
+    else:
+        b_ub = np.asarray(b_ub, dtype=np.float64)
+        if not np.isfinite(b_ub).all():
+            raise ValueError(
+                "LP right-hand sides must be finite (an empty relation has "
+                f"log2 norm -inf), got {b_ub[~np.isfinite(b_ub)][:3]}"
+            )
+        # the rows go in empty; their entries come with the columns
+        none = np.zeros(0, dtype=np.int32)
+        lhs = np.full(len(b_ub), -math.inf)
+        rows = highs.addRows(len(b_ub), lhs, b_ub, 0, none, none, np.zeros(0))
+        if rows == _HighsStatus.kError:
+            raise ValueError("HiGHS rejected the LP's rows")
+        start, index, value = _colwise(a_ub)
+    cols = highs.addCols(
+        num_cols, c, lower, upper, len(value), start[:-1], index, value
+    )
+    if cols == _HighsStatus.kError:
+        raise ValueError("HiGHS rejected the LP's columns")
+    highs.run()
+    status = highs.getModelStatus()
+    if status != _ModelStatus.kOptimal:
+        name = _STATUS_NAMES.get(status)
+        if name is None:
+            name = f"error: {highs.modelStatusToString(status)}"
+        return name, math.nan, np.zeros(0), np.zeros(0)
+    solution = highs.getSolution()
+    return (
+        "optimal",
+        highs.getInfo().objective_function_value,
+        np.array(solution.col_value),
+        np.array(solution.row_dual),
     )
 
 
@@ -463,9 +570,11 @@ def _step_rows(
     """The statistic rows (≥ 1 of them) evaluated on step functions:
     entry (i, W) is 1[W∩U_iV_i≠∅] + (1/p_i − 1)·1[W∩U_i≠∅]."""
     mask_u, mask_uv, inv_p = map(np.array, zip(*struct))
-    hit_uv = (generators & mask_uv[:, None]) != 0
-    hit_u = (generators & mask_u[:, None]) != 0
-    return hit_uv + (inv_p[:, None] - 1.0) * hit_u
+    hit_uv = (generators[:, None] & mask_uv) != 0
+    hit_u = (generators[:, None] & mask_u) != 0
+    # built W-major and transposed: column-major, so the solver's
+    # column-wise arrays come from one pass over a contiguous buffer
+    return (hit_uv + (inv_p - 1.0) * hit_u).T
 
 
 def _assemble_step_cone(
@@ -490,7 +599,7 @@ def _optimal_result(
 ) -> BoundResult:
     """Wrap an optimal (objective, primal, stat duals) into a BoundResult.
 
-    Shared by the scipy one-shot path and the persistent HiGHS path — the
+    Shared by the one-shot path and the persistent HiGHS path — the
     two differ only in how the raw solution was produced.
     """
     if assembly.cone == "polymatroid":
@@ -508,10 +617,9 @@ def _optimal_result(
         for w, a in zip(assembly.candidates, x)
         if a > 1e-12
     }
-    size = 1 << len(variables)
-    h_values = np.zeros(size)
+    masks = np.arange(1 << len(variables))
+    h_values = np.zeros(len(masks))
     for w_mask, a in alpha.items():
-        masks = np.arange(size)
         h_values[(masks & w_mask) != 0] += a
     return BoundResult(
         log2_bound,
@@ -547,32 +655,28 @@ def _solve_assembly(
                         f"extra inequality must have length {size}, "
                         f"got {vec.shape}"
                     )
+                if not np.isfinite(vec).all():
+                    raise ValueError("extra inequality must be finite")
                 blocks.append(sparse.csr_matrix(-vec.reshape(1, -1)))
             a_ub = sparse.vstack(blocks, format="csr")
         shannon_rows = a_ub.shape[0] - assembly.num_stats - extra_rows
         b_ub = np.concatenate(
             [b_stats, np.zeros(shannon_rows + extra_rows)]
         )
-        res = _solve(cone, assembly.c, a_ub, b_ub, assembly.bounds)
     else:
-        b_arr = b_stats if assembly.num_stats else None
-        res = _solve(cone, assembly.c, assembly.a_ub, b_arr, assembly.bounds)
-    if res.status == 3:
-        return BoundResult(math.inf, cone, "unbounded", variables, statistics)
-    if res.status == 2:
-        return BoundResult(-math.inf, cone, "infeasible", variables, statistics)
-    if res.status != 0:
-        return BoundResult(
-            math.nan, cone, f"error: {res.message}", variables, statistics
-        )
-    if cone == "polymatroid":
-        duals = -np.asarray(res.ineqlin.marginals[: assembly.num_stats], float)
-    elif assembly.num_stats:
-        duals = -np.asarray(res.ineqlin.marginals, float)
-    else:
-        duals = np.zeros(0)
+        a_ub, b_ub = assembly.a_ub, b_stats if assembly.num_stats else None
+    status, objective, x, row_duals = _solve(
+        cone, assembly.c, a_ub, b_ub, assembly.bounds
+    )
+    if status == "unbounded":
+        return BoundResult(math.inf, cone, status, variables, statistics)
+    if status == "infeasible":
+        return BoundResult(-math.inf, cone, status, variables, statistics)
+    if status != "optimal":
+        return BoundResult(math.nan, cone, status, variables, statistics)
+    duals = -row_duals[: assembly.num_stats]
     return _optimal_result(
-        assembly, variables, statistics, float(-res.fun), res.x, duals
+        assembly, variables, statistics, float(-objective), x, duals
     )
 
 

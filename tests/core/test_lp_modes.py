@@ -1,7 +1,9 @@
 """The REPRO_LP solve-mode machinery and the persistent/one-shot contract.
 
-``REPRO_LP=oneshot`` is byte-for-byte the scipy ``linprog`` path the
-whole suite already exercises, so these tests pin down the rest:
+``REPRO_LP=oneshot`` is one fresh model per solve on scipy's bundled
+HiGHS, the path the whole suite already exercises; its bit-identity with
+the ``linprog`` oracle is ``test_oneshot_highs.py``'s.  These tests pin
+down the rest:
 
 * env parsing, ``set_lp_mode`` validation ordering, ``forced_lp_mode``
   save/restore;
