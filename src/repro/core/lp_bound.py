@@ -133,6 +133,10 @@ _STATUS_NAMES = {
     _ModelStatus.kUnbounded: "unbounded",
 }
 
+#: How far an optimal x may leave its bounds or rows — linprog's
+#: post-solve check, 10·√tol at its default tol of 1e-9.
+_FEASIBILITY_TOL = 10 * math.sqrt(1e-9)
+
 # ----------------------------------------------------------------------
 # LP solve modes (REPRO_LP), mirroring relational.kernels' REPRO_KERNELS
 # ----------------------------------------------------------------------
@@ -380,7 +384,9 @@ def _colwise(a_ub) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             csc.data,
         )
     num_rows, num_cols = a_ub.shape
-    flat = a_ub.ravel(order="F")  # a view for the column-major step rows
+    # right for any layout; a view, not a copy, for the column-major
+    # step rows (see _step_rows)
+    flat = a_ub.ravel(order="F")
     nonzero = np.flatnonzero(flat)
     start = np.searchsorted(nonzero // num_rows, np.arange(num_cols + 1))
     return (
@@ -403,6 +409,8 @@ def _solve(
     ``"optimal"``, ``"infeasible"``, ``"unbounded"`` or ``"error: …"``
     (any other HiGHS model status, ``kUnboundedOrInfeasible`` included),
     and the other three are only meaningful when it is ``"optimal"``.
+    An optimal answer whose x leaves its bounds or rows by more than
+    :data:`_FEASIBILITY_TOL` is an error, as linprog reports it.
     """
     num_cols = len(c)
     highs = _Highs()
@@ -446,12 +454,23 @@ def _solve(
             name = f"error: {highs.modelStatusToString(status)}"
         return name, math.nan, np.zeros(0), np.zeros(0)
     solution = highs.getSolution()
-    return (
-        "optimal",
-        highs.getInfo().objective_function_value,
-        np.array(solution.col_value),
-        np.array(solution.row_dual),
+    objective = highs.getInfo().objective_function_value
+    x = np.array(solution.col_value)
+    tol = _FEASIBILITY_TOL
+    feasible = not math.isnan(objective) and np.all(
+        (x >= lower - tol) & (x <= upper + tol)
     )
+    if feasible and a_ub is not None:
+        feasible = np.all(b_ub - a_ub @ x >= -tol)
+    if not feasible:
+        return (
+            f"error: the solution violates the constraints by more than "
+            f"{tol:.2E}",
+            math.nan,
+            np.zeros(0),
+            np.zeros(0),
+        )
+    return "optimal", objective, x, np.array(solution.row_dual)
 
 
 @lru_cache(maxsize=None)

@@ -6,7 +6,8 @@ build scipy ships and loads it straight from numpy arrays.
 through scipy's wrapper, so the two must agree bit for bit: status,
 objective, x and row duals.  Each test records the LPs ``_solve`` is
 handed by the public entry points and re-solves every one with
-``linprog``, the oracle.
+``linprog``, the oracle.  The solvers here are pinned to the one-shot
+mode, so every solve reaches ``_solve`` whatever ``REPRO_LP`` says.
 """
 
 import importlib
@@ -108,7 +109,7 @@ class TestJobTemplates:
     def test_step_cones_with_family_slices(
         self, recorder, job_statistics, cone
     ):
-        solver = BoundSolver()
+        solver = BoundSolver(lp_mode="oneshot")
         for query, stats in job_statistics:
             solver.solve(stats, query=query, cone=cone)
             for family in FAMILIES:
@@ -116,7 +117,7 @@ class TestJobTemplates:
         assert set(recorder.assert_match_oracle()) == {"optimal"}
 
     def test_polymatroid_with_family_slices(self, recorder, job_statistics):
-        solver = BoundSolver()
+        solver = BoundSolver(lp_mode="oneshot")
         for query, stats in job_statistics:
             if len(query.variables) > 7:
                 continue
@@ -167,6 +168,23 @@ class TestEdgeCases:
         result = lp_bound(stats, variables=variables, cone=cone)
         assert recorder.assert_match_oracle() == ["unbounded"]
         assert result.status == "unbounded"
+
+    @pytest.mark.parametrize("cone", CONES)
+    @pytest.mark.parametrize("shift", (1.0, -10.0), ids=("row", "bound"))
+    def test_infeasible_optimum_is_an_error(self, monkeypatch, cone, shift):
+        # linprog's post-solve check: an "optimal" x that leaves a row
+        # (x = 6 > 5) or a bound (x = -5 < 0) is reported as an error
+        class Shifted(lp_mod._Highs):
+            def getSolution(self):
+                solution = super().getSolution()
+                solution.col_value = [v + shift for v in solution.col_value]
+                return solution
+
+        monkeypatch.setattr(lp_mod, "_Highs", Shifted)
+        stats = StatisticsSet([_stat(("x",), ("x",), (), 1.0, 5.0)])
+        result = lp_bound(stats, variables=("x",), cone=cone)
+        assert result.status.startswith("error: the solution violates")
+        assert math.isnan(result.log2_bound)
 
     @pytest.mark.parametrize("cone", CONES)
     @pytest.mark.parametrize("bad", (-math.inf, math.inf, math.nan))
